@@ -2,7 +2,9 @@
 // paper's design choices. RSE parity encoding cost per block size k is the
 // basis of Fig 8 (right): per-parity time is Theta(k * packet bytes), and
 // the GF(256) region-kernel sweep (MB/s per ISA path and buffer size)
-// shows how far the SIMD layer lifts that constant over scalar.
+// shows how far the SIMD layer lifts that constant over scalar. The
+// batched key-crypto sweep (ns per edge and per key draw for every lane
+// kernel this host runs) is the unit cost of the rekey payload.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -14,6 +16,7 @@
 #include "sweep.h"
 #include "crypto/chacha20.h"
 #include "crypto/keys.h"
+#include "crypto/keys_simd.h"
 #include "crypto/sha256.h"
 #include "fec/gf256_simd.h"
 #include "fec/rse.h"
@@ -248,6 +251,59 @@ void register_region_kernel_benches() {
   }
 }
 
+// Batched key-crypto sweep: encrypt_keys and keys_at per kernel path
+// (crypto/keys_simd.h) at batch lengths that exercise a lane tail (13),
+// a few full kernel calls (64) and the payload's block-by-block steady
+// state (1024). items/s counts edges or key draws.
+void register_key_batch_benches() {
+  for (const crypto::KeyBatchPath path : crypto::supported_key_batch_paths()) {
+    for (const std::size_t n : {13ul, 64ul, 1024ul}) {
+      const std::string suffix = std::string("/") +
+                                 crypto::key_batch_path_name(path) + "/" +
+                                 std::to_string(n);
+      benchmark::RegisterBenchmark(
+          ("BM_EncryptKeys" + suffix).c_str(),
+          [path, n](benchmark::State& state) {
+            const crypto::KeyBatchPath prev =
+                crypto::force_key_batch_path(path);
+            crypto::KeyGenerator gen(7);
+            std::vector<crypto::SymmetricKey> keys(n + 1);
+            for (auto& k : keys) k = gen.next();
+            std::vector<crypto::WrapJob> jobs(n);
+            for (std::size_t i = 0; i < n; ++i)
+              jobs[i] = {&keys[i], &keys[n], 4 * i + 1};
+            std::vector<crypto::EncryptedKey> out(n);
+            for (auto _ : state) {
+              crypto::encrypt_keys(jobs, 1, out);
+              benchmark::DoNotOptimize(out.data());
+            }
+            state.SetItemsProcessed(
+                static_cast<std::int64_t>(state.iterations()) *
+                static_cast<std::int64_t>(n));
+            crypto::force_key_batch_path(prev);
+          });
+      benchmark::RegisterBenchmark(
+          ("BM_KeysAt" + suffix).c_str(),
+          [path, n](benchmark::State& state) {
+            const crypto::KeyBatchPath prev =
+                crypto::force_key_batch_path(path);
+            const crypto::KeyGenerator gen(7);
+            std::vector<std::uint64_t> counters(n);
+            for (std::size_t i = 0; i < n; ++i) counters[i] = 1000 + i;
+            std::vector<crypto::SymmetricKey> out(n);
+            for (auto _ : state) {
+              gen.keys_at(counters, out);
+              benchmark::DoNotOptimize(out.data());
+            }
+            state.SetItemsProcessed(
+                static_cast<std::int64_t>(state.iterations()) *
+                static_cast<std::int64_t>(n));
+            crypto::force_key_batch_path(prev);
+          });
+    }
+  }
+}
+
 // Console reporter that also captures each run's per-iteration timings so
 // they can be emitted through the shared FigureJson schema.
 class CaptureReporter : public benchmark::ConsoleReporter {
@@ -287,6 +343,7 @@ int main(int argc, char** argv) {
   FigureJson json("A4", cli);
 
   register_region_kernel_benches();
+  register_key_batch_benches();
 
   // Smoke mode shortens every benchmark's measuring window (schema test /
   // CI gate only need the document shape, not stable timings).

@@ -36,11 +36,9 @@ ChaCha20::ChaCha20(std::span<const std::uint8_t, kKeySize> key,
   for (int i = 0; i < 3; ++i) state_[13 + i] = load_le32(nonce.data() + 4 * i);
 }
 
-std::array<std::uint8_t, 64> ChaCha20::keystream_block(
-    std::uint32_t counter) const {
-  std::array<std::uint32_t, 16> x = state_;
-  x[12] = counter;
-  std::array<std::uint32_t, 16> w = x;
+std::array<std::uint32_t, 16> ChaCha20::block(
+    const std::array<std::uint32_t, 16>& input) {
+  std::array<std::uint32_t, 16> w = input;
   for (int round = 0; round < 10; ++round) {
     quarter_round(w[0], w[4], w[8], w[12]);
     quarter_round(w[1], w[5], w[9], w[13]);
@@ -51,13 +49,21 @@ std::array<std::uint8_t, 64> ChaCha20::keystream_block(
     quarter_round(w[2], w[7], w[8], w[13]);
     quarter_round(w[3], w[4], w[9], w[14]);
   }
+  for (int i = 0; i < 16; ++i) w[i] += input[i];
+  return w;
+}
+
+std::array<std::uint8_t, 64> ChaCha20::keystream_block(
+    std::uint32_t counter) const {
+  std::array<std::uint32_t, 16> x = state_;
+  x[12] = counter;
+  const std::array<std::uint32_t, 16> w = block(x);
   std::array<std::uint8_t, 64> out;
   for (int i = 0; i < 16; ++i) {
-    const std::uint32_t v = w[i] + x[i];
-    out[4 * i] = static_cast<std::uint8_t>(v);
-    out[4 * i + 1] = static_cast<std::uint8_t>(v >> 8);
-    out[4 * i + 2] = static_cast<std::uint8_t>(v >> 16);
-    out[4 * i + 3] = static_cast<std::uint8_t>(v >> 24);
+    out[4 * i] = static_cast<std::uint8_t>(w[i]);
+    out[4 * i + 1] = static_cast<std::uint8_t>(w[i] >> 8);
+    out[4 * i + 2] = static_cast<std::uint8_t>(w[i] >> 16);
+    out[4 * i + 3] = static_cast<std::uint8_t>(w[i] >> 24);
   }
   return out;
 }

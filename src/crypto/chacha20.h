@@ -28,6 +28,12 @@ class ChaCha20 {
   // One 64-byte keystream block (exposed for tests against RFC vectors).
   std::array<std::uint8_t, 64> keystream_block(std::uint32_t counter) const;
 
+  // The block function on a raw 16-word input state (constants, key,
+  // counter, nonce): 20 rounds plus the feed-forward, output as the 16
+  // little-endian keystream words (RFC 8439 §2.3).
+  static std::array<std::uint32_t, 16> block(
+      const std::array<std::uint32_t, 16>& input);
+
  private:
   std::array<std::uint32_t, 16> state_;
   std::uint32_t counter_;

@@ -1,19 +1,7 @@
 #include "keytree/ids.h"
 
-#include "common/ensure.h"
 
 namespace rekey::tree {
-
-NodeId parent_of(NodeId id, unsigned degree) {
-  REKEY_ENSURE(id != kRootId);
-  REKEY_ENSURE(degree >= 2);
-  return (id - 1) / degree;
-}
-
-NodeId child_of(NodeId id, unsigned j, unsigned degree) {
-  REKEY_ENSURE(j < degree);
-  return id * degree + 1 + j;
-}
 
 unsigned level_of(NodeId id, unsigned degree) {
   unsigned level = 0;

@@ -13,9 +13,12 @@
 // f(x) in (nk, d*nk + d].
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
+
+#include "common/ensure.h"
 
 namespace rekey::tree {
 
@@ -23,11 +26,21 @@ using NodeId = std::uint64_t;
 
 constexpr NodeId kRootId = 0;
 
-// Parent of a non-root node.
-NodeId parent_of(NodeId id, unsigned degree);
+// Parent of a non-root node. Inline: the payload and marking walks call it
+// once per tree level per user, and a power-of-two degree (the paper's
+// d = 4) turns the divide into a shift.
+inline NodeId parent_of(NodeId id, unsigned degree) {
+  REKEY_ENSURE(id != kRootId);
+  REKEY_ENSURE(degree >= 2);
+  if (std::has_single_bit(degree)) return (id - 1) >> std::countr_zero(degree);
+  return (id - 1) / degree;
+}
 
 // j-th child (0-based) of a node.
-NodeId child_of(NodeId id, unsigned j, unsigned degree);
+inline NodeId child_of(NodeId id, unsigned j, unsigned degree) {
+  REKEY_ENSURE(j < degree);
+  return id * degree + 1 + j;
+}
 
 // Depth of a node (root = level 0).
 unsigned level_of(NodeId id, unsigned degree);

@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <vector>
@@ -80,9 +81,23 @@ class KeyTree {
   void user_slots_into(std::vector<NodeId>& out) const;
   // Visits every u-node id in ascending order without materializing a
   // vector. Allocation-free whenever no node lives in the overflow map.
+  // The dense scan skips 8 state bytes at a time when none is a u-node:
+  // the k-node levels and the absent tail (the capacity is 2*d*nodes)
+  // make up most of the arena.
   template <typename F>
   void for_each_user_slot(F&& fn) const {
-    for (std::size_t id = 0; id < state_.size(); ++id)
+    static_assert(kUNode == 2 && kKNode == 1 && kAbsent == 0,
+                  "the word skip tests bit 1 of every state byte");
+    const std::size_t n = state_.size();
+    std::size_t id = 0;
+    for (; id + 8 <= n; id += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, state_.data() + id, sizeof(word));
+      if ((word & 0x0202020202020202ull) == 0) continue;
+      for (std::size_t i = id; i < id + 8; ++i)
+        if (state_[i] == kUNode) fn(static_cast<NodeId>(i));
+    }
+    for (; id < n; ++id)
       if (state_[id] == kUNode) fn(static_cast<NodeId>(id));
     if (!overflow_.empty()) {
       std::vector<NodeId> ids = sorted_overflow_unodes();

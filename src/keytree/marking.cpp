@@ -1,6 +1,7 @@
 #include "keytree/marking.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/ensure.h"
 #include "common/parallel.h"
@@ -23,14 +24,24 @@ void Marker::defer_knode_draw(NodeId id, bool live) {
 void Marker::materialize(rekey::TaskRunner* runner, std::size_t chunks) {
   const std::size_t n = draws_.size();
   if (n == 0) return;
+  // Keys are computed in blocks through the batched kernels
+  // (KeyGenerator::keys_at), then written home.
   auto fill_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const Draw& d = draws_[i];
-      const crypto::SymmetricKey key = tree_.keygen_.key_at(d.counter);
-      // Distinct draws target distinct nodes (one draw per member, one
-      // refresh per k-node), so writes are disjoint across chunks.
-      const NodeId id = d.is_member ? tree_.slot_of(d.member) : d.node;
-      tree_.key_ref(id) = key;
+    constexpr std::size_t kBlock = 64;
+    std::array<std::uint64_t, kBlock> counters;
+    std::array<crypto::SymmetricKey, kBlock> keys;
+    for (std::size_t b = begin; b < end; b += kBlock) {
+      const std::size_t take = std::min(kBlock, end - b);
+      for (std::size_t i = 0; i < take; ++i)
+        counters[i] = draws_[b + i].counter;
+      tree_.keygen_.keys_at({counters.data(), take}, {keys.data(), take});
+      for (std::size_t i = 0; i < take; ++i) {
+        const Draw& d = draws_[b + i];
+        // Distinct draws target distinct nodes (one draw per member, one
+        // refresh per k-node), so writes are disjoint across chunks.
+        const NodeId id = d.is_member ? tree_.slot_of(d.member) : d.node;
+        tree_.key_ref(id) = keys[i];
+      }
     }
   };
   if (runner != nullptr && chunks > 1) {

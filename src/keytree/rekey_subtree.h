@@ -18,8 +18,11 @@
 //
 // The payload containers are flat: user needs live in one CSR
 // (slots / offsets / indices) instead of a map of vectors, and labels are
-// a sorted array parallel to the changed-k-node set. Generation is a
-// single pass over preallocated buffers; pass a ThreadPool to fan the
+// a sorted array parallel to the changed-k-node set. Generation does O(1)
+// work per lookup: a ChangedIndex (keytree/changed_index.h) answers the
+// changed-set queries, per-k-node child masks locate each edge's
+// encryption, and the encryptions are sealed in blocks by the batched
+// lane kernels (crypto::encrypt_keys). Pass a ThreadPool to fan the
 // encryption and user-needs passes out over worker threads — output
 // positions are fixed up front, so the result is bit-identical to the
 // serial path regardless of thread count.
@@ -42,19 +45,27 @@ class TaskRunner;
 
 namespace rekey::tree {
 
-struct ShardPlan;        // keytree/shard.h
-struct ShardBatchStats;  // keytree/shard.h
 struct RekeyPayload;
 struct BatchUpdate;
 
-// Sharded generator (keytree/shard_pipeline.h); declared here so the flat
-// payload containers can befriend it.
-void generate_rekey_payload_sharded(const KeyTree& tree,
-                                    const BatchUpdate& update,
-                                    std::uint32_t msg_id, RekeyPayload& out,
-                                    const ShardPlan& plan,
-                                    rekey::TaskRunner& runner,
-                                    ShardBatchStats* stats);
+namespace detail {
+
+// Fan-out of the payload passes: each runs in this many equal ranges on
+// the caller's TaskRunner (1 = inline).
+struct PayloadFanout {
+  std::size_t enc_chunks = 1;    // ranges of changed k-nodes
+  std::size_t needs_chunks = 1;  // ranges of user slots
+};
+
+// The one payload generator behind generate_rekey_payload_into and
+// generate_rekey_payload_sharded (keytree/shard_pipeline.h). Every pass
+// writes to output positions fixed before it fans out, so the result is
+// byte-identical for every fan-out, thread count and task order.
+void build_rekey_payload(const KeyTree& tree, const BatchUpdate& update,
+                         std::uint32_t msg_id, RekeyPayload& out,
+                         rekey::TaskRunner& runner, PayloadFanout fanout);
+
+}  // namespace detail
 
 enum class Label : std::uint8_t { Join, Replace };
 
@@ -124,15 +135,10 @@ class UserNeeds {
   }
 
  private:
-  friend void generate_rekey_payload_into(const KeyTree&, const BatchUpdate&,
+  friend void detail::build_rekey_payload(const KeyTree&, const BatchUpdate&,
                                           std::uint32_t, RekeyPayload&,
-                                          rekey::ThreadPool*);
-  friend void generate_rekey_payload_sharded(const KeyTree&,
-                                             const BatchUpdate&,
-                                             std::uint32_t, RekeyPayload&,
-                                             const ShardPlan&,
-                                             rekey::TaskRunner&,
-                                             ShardBatchStats*);
+                                          rekey::TaskRunner&,
+                                          detail::PayloadFanout);
 
   std::size_t index_of(NodeId slot) const {
     const auto it = std::lower_bound(slots_.begin(), slots_.end(), slot);
@@ -172,15 +178,10 @@ class LabelMap {
   }
 
  private:
-  friend void generate_rekey_payload_into(const KeyTree&, const BatchUpdate&,
+  friend void detail::build_rekey_payload(const KeyTree&, const BatchUpdate&,
                                           std::uint32_t, RekeyPayload&,
-                                          rekey::ThreadPool*);
-  friend void generate_rekey_payload_sharded(const KeyTree&,
-                                             const BatchUpdate&,
-                                             std::uint32_t, RekeyPayload&,
-                                             const ShardPlan&,
-                                             rekey::TaskRunner&,
-                                             ShardBatchStats*);
+                                          rekey::TaskRunner&,
+                                          detail::PayloadFanout);
 
   std::size_t index_of(NodeId id) const {
     const auto it = std::lower_bound(
@@ -217,8 +218,8 @@ RekeyPayload generate_rekey_payload(const KeyTree& tree,
                                     rekey::ThreadPool* pool = nullptr);
 
 // Reuse-friendly variant: clears and refills `out`, keeping its buffer
-// capacity across batches (the steady-state server loop allocates
-// nothing here once warm).
+// capacity across batches (the output containers stop reallocating once
+// warm; per-batch scratch is sized by the changed set and user count).
 void generate_rekey_payload_into(const KeyTree& tree,
                                  const BatchUpdate& update,
                                  std::uint32_t msg_id, RekeyPayload& out,

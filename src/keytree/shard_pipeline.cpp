@@ -14,155 +14,23 @@ void generate_rekey_payload_sharded(const KeyTree& tree,
                                     ShardBatchStats* stats) {
   REKEY_ENSURE_MSG(plan.degree == tree.degree(),
                    "shard plan degree does not match the tree");
-  out.msg_id = msg_id;
-  out.degree = tree.degree();
-  out.max_kid = update.max_kid;
-  out.encryptions.clear();
-  out.user_needs.clear();
-  out.labels.clear();
-
-  const unsigned d = tree.degree();
-  const NodeIdSet& changed = update.changed_knodes;
-  const std::size_t n_changed = changed.size();
+  const std::size_t chunks = std::size_t{plan.shards} * 4;
+  detail::build_rekey_payload(tree, update, msg_id, out, runner,
+                              {chunks, chunks});
+  if (stats == nullptr) return;
+  // Encryptions per owning shard of the changed k-node they carry. A
+  // k-node's block is contiguous, so ownership is looked up once per block.
   const unsigned S = plan.shards;
-
-  // Labels stay serial: the taint walks write shared entries (a departed
-  // slot in one shard taints aggregator ancestors), and the pass is ~10%
-  // of payload cost. Identical to the serial generator's block.
-  auto& labels = out.labels.entries_;
-  labels.reserve(n_changed);
-  for (std::size_t i = 0; i < n_changed; ++i)
-    labels.emplace_back(changed[i], Label::Join);
-  auto taint = [&](NodeId slot) {
-    NodeId id = slot;
-    while (id != kRootId) {
-      id = parent_of(id, d);
-      const std::size_t i = changed.index_of(id);
-      if (i == n_changed) continue;
-      if (labels[i].second == Label::Replace) break;
-      labels[i].second = Label::Replace;
+  stats->shard_encryptions.assign(S + 1, 0);
+  unsigned owner = 0;
+  for (std::size_t i = 0; i < out.encryptions.size(); ++i) {
+    const NodeId x = out.encryptions[i].target_id;
+    if (i == 0 || x != out.encryptions[i - 1].target_id) {
+      const unsigned s = plan.shard_of(x);
+      owner = s == ShardPlan::kAggregator ? S : s;
     }
-  };
-  for (const auto& [member, slot] : update.departed) taint(slot);
-  for (const auto& [old_slot, new_slot] : update.moved) {
-    taint(old_slot);
-    // The split node itself hides a relocation from users beneath it.
-    const std::size_t i = changed.index_of(old_slot);
-    if (i != n_changed) labels[i].second = Label::Replace;
+    ++stats->shard_encryptions[owner];
   }
-
-  // Partition the descending positions k (block order of the serial
-  // generator: k <-> changed[n_changed-1-k]) by shard ownership of the
-  // changed k-node. Owners are computed in shard-count-derived chunks;
-  // binning is a serial O(n_changed) pass.
-  std::vector<std::uint32_t> owner(n_changed);
-  if (n_changed > 0) {
-    const std::size_t chunks = std::min<std::size_t>(n_changed, S * 2);
-    runner.run(chunks, [&](std::size_t c) {
-      const std::size_t b = n_changed * c / chunks;
-      const std::size_t e = n_changed * (c + 1) / chunks;
-      for (std::size_t k = b; k < e; ++k) {
-        const unsigned s = plan.shard_of(changed[n_changed - 1 - k]);
-        owner[k] = s == ShardPlan::kAggregator ? S : s;
-      }
-    });
-  }
-  std::vector<std::vector<std::uint32_t>> shard_ks(S + 1);
-  for (std::size_t k = 0; k < n_changed; ++k)
-    shard_ks[owner[k]].push_back(static_cast<std::uint32_t>(k));
-
-  // Count -> prefix-sum -> fill, with each shard's task touching only the
-  // enc_offset entries and encryption blocks of its own k positions. The
-  // offsets (and therefore every byte of the output) match the serial
-  // generator exactly.
-  std::vector<std::uint32_t> enc_offset(n_changed + 1, 0);
-  runner.run(S + 1, [&](std::size_t t) {
-    for (const std::uint32_t k : shard_ks[t]) {
-      const NodeId x = changed[n_changed - 1 - k];
-      std::uint32_t cnt = 0;
-      for (unsigned j = 0; j < d; ++j)
-        if (tree.contains(child_of(x, j, d))) ++cnt;
-      enc_offset[k + 1] = cnt;
-    }
-  });
-  if (stats != nullptr) {
-    stats->shard_encryptions.assign(S + 1, 0);
-    for (unsigned t = 0; t <= S; ++t)
-      for (const std::uint32_t k : shard_ks[t])
-        stats->shard_encryptions[t] += enc_offset[k + 1];
-  }
-  for (std::size_t k = 0; k < n_changed; ++k)
-    enc_offset[k + 1] += enc_offset[k];
-  out.encryptions.resize(enc_offset[n_changed]);
-  runner.run(S + 1, [&](std::size_t t) {
-    for (const std::uint32_t k : shard_ks[t]) {
-      const NodeId x = changed[n_changed - 1 - k];
-      const crypto::SymmetricKey& new_key = tree.key_of(x);
-      std::uint32_t at = enc_offset[k];
-      for (unsigned j = 0; j < d; ++j) {
-        const NodeId c = child_of(x, j, d);
-        if (!tree.contains(c)) continue;  // n-node
-        Encryption& enc = out.encryptions[at++];
-        enc.enc_id = c;
-        enc.target_id = x;
-        enc.payload = crypto::encrypt_key(tree.key_of(c), new_key, msg_id, c);
-      }
-    }
-  });
-
-  // Index of the encryption whose enc_id is child c of changed k-node p
-  // (same lookup as the serial generator).
-  auto enc_index = [&](NodeId c, NodeId p) -> std::uint32_t {
-    const std::size_t k = n_changed - 1 - changed.index_of(p);
-    for (std::uint32_t i = enc_offset[k]; i < enc_offset[k + 1]; ++i)
-      if (out.encryptions[i].enc_id == c) return i;
-    REKEY_ENSURE_MSG(false, "missing encryption for an existing child");
-    return 0;  // unreachable
-  };
-
-  // User needs: counts and fills fan out in shard-derived chunks over the
-  // ascending slot array; the CSR compaction between them is serial, so
-  // slot order (and the flat index pool) is identical to the serial pass.
-  UserNeeds& un = out.user_needs;
-  if (n_changed == 0) return;
-  std::vector<NodeId> slots;
-  slots.reserve(tree.num_users());
-  tree.user_slots_into(slots);
-  std::vector<std::uint32_t> counts(slots.size(), 0);
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(slots.size(), S * 4));
-  runner.run(chunks, [&](std::size_t c) {
-    const std::size_t b = slots.size() * c / chunks;
-    const std::size_t e = slots.size() * (c + 1) / chunks;
-    for (std::size_t i = b; i < e; ++i) {
-      std::uint32_t cnt = 0;
-      for (NodeId n = slots[i]; n != kRootId; n = parent_of(n, d))
-        if (changed.contains(parent_of(n, d))) ++cnt;
-      counts[i] = cnt;
-    }
-  });
-  std::uint32_t total = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (counts[i] == 0) continue;
-    un.slots_.push_back(slots[i]);
-    un.offsets_.push_back(total);
-    total += counts[i];
-  }
-  un.offsets_.push_back(total);
-  un.indices_.resize(total);
-  const std::size_t fill_chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(un.slots_.size(), S * 4));
-  runner.run(fill_chunks, [&](std::size_t c) {
-    const std::size_t b = un.slots_.size() * c / fill_chunks;
-    const std::size_t e = un.slots_.size() * (c + 1) / fill_chunks;
-    for (std::size_t i = b; i < e; ++i) {
-      std::uint32_t at = un.offsets_[i];
-      for (NodeId n = un.slots_[i]; n != kRootId; n = parent_of(n, d)) {
-        const NodeId p = parent_of(n, d);
-        if (changed.contains(p)) un.indices_[at++] = enc_index(n, p);
-      }
-    }
-  });
 }
 
 void check_enc_id_disjointness(const RekeyPayload& payload,

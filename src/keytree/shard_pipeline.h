@@ -1,14 +1,13 @@
 // Sharded rekey-payload generation (the batch pipeline's middle stage).
 //
-// The serial generator (keytree/rekey_subtree.h) already writes to fixed,
-// precomputed output offsets; this variant re-partitions the same work by
-// shard ownership: every changed k-node's encryption block is counted and
-// filled by the task owning its shard (aggregator nodes by the aggregator
-// task), and the user-needs CSR passes fan out in fixed chunks derived
-// from the shard count. All offsets are laid out serially between the
-// fan-outs, so the resulting RekeyPayload is byte-identical to the serial
+// The sharded pipeline runs the same generator as the serial one
+// (keytree/rekey_subtree.h): every pass writes to output offsets fixed
+// before it fans out, so the payload is byte-identical to the serial
 // generator's for every shard count, thread count, and task execution
-// order — the determinism contract sharding must keep.
+// order — the determinism contract sharding must keep. The passes are
+// split into equal ranges of changed k-nodes and of user slots (4 per
+// shard), not by shard ownership: the marking algorithm clusters a batch's
+// churn, so ownership would put nearly all the work in one task.
 //
 // Encryption-id disjointness across shards holds by construction (an
 // encryption id is the encrypting child's node id, each child has one
@@ -24,9 +23,10 @@
 namespace rekey::tree {
 
 // Fills `out` exactly as generate_rekey_payload_into(tree, update, msg_id,
-// out) would, using one task per shard (plus the aggregator) on `runner`.
-// When `stats` is non-null its shard_encryptions vector is filled
-// (entries [0, shards) per shard, entry [shards] for the aggregator).
+// out) would, fanning the passes out on `runner`. When `stats` is
+// non-null its shard_encryptions vector is filled with the encryptions
+// per owning shard of the changed k-node they carry (entries [0, shards)
+// per shard, entry [shards] for the aggregator).
 void generate_rekey_payload_sharded(const KeyTree& tree,
                                     const BatchUpdate& update,
                                     std::uint32_t msg_id, RekeyPayload& out,

@@ -2,7 +2,8 @@
 // deterministic merge and its partition checks, task-completion-order
 // independence (via TaskRunner's adversarial permutation hook), sharded
 // snapshot round-trips (mid-epoch, counter-exact, across the dense/
-// overflow arena boundary), and the corrupted-shard-boundary regression.
+// overflow arena boundary), the corrupted-shard-boundary regression, and
+// the payload's ChangedIndex on both sides of that boundary.
 // The sharded-vs-serial pipeline equivalence itself lives in
 // keytree_differential_test.cpp.
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "crypto/sha256.h"
+#include "keytree/changed_index.h"
 #include "keytree/ids.h"
 #include "keytree/keytree.h"
 #include "keytree/marking.h"
@@ -609,6 +611,175 @@ TEST(CheckShardedTree, AcceptsLiveTreesAndRejectsDegreeMismatch) {
   check_sharded_tree(t, ShardPlan::make(4, 8));   // must not throw
   check_sharded_tree(t, ShardPlan::make(4, 1));   // degenerate plan too
   EXPECT_THROW(check_sharded_tree(t, ShardPlan::make(2, 8)), EnsureError);
+}
+
+// ---------------------------------------------------------------------------
+// ChangedIndex (keytree/changed_index.h) against NodeIdSet, and the payload
+// generator against a naive oracle, including the chain tree whose changed
+// ids run past the dense capacity (where the index falls back to binary
+// search)
+// ---------------------------------------------------------------------------
+
+void expect_index_matches(const NodeIdSet& set, const ChangedIndex& index,
+                          const std::vector<NodeId>& probes) {
+  for (const NodeId id : probes) {
+    ASSERT_EQ(index.index_of(id), set.index_of(id)) << "id " << id;
+    ASSERT_EQ(index.contains(id), set.contains(id)) << "id " << id;
+  }
+}
+
+// Every member, its neighbours, and a spread of absent ids.
+std::vector<NodeId> probes_for(const NodeIdSet& set, Rng& rng) {
+  std::vector<NodeId> probes = {0, 1, 63, 64, 65, ~NodeId{0}};
+  for (const NodeId id : set) {
+    probes.push_back(id);
+    probes.push_back(id + 1);
+    if (id > 0) probes.push_back(id - 1);
+  }
+  for (int i = 0; i < 200; ++i) probes.push_back(rng.next_u64() % 5000);
+  return probes;
+}
+
+TEST(ChangedIndex, MatchesNodeIdSetForEveryDenseLimit) {
+  Rng rng(0xc4a11);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<NodeId> ids;
+    const int n = static_cast<int>(rng.next_u64() % 300);
+    for (int i = 0; i < n; ++i) ids.push_back(rng.next_u64() % 4000);
+    if (trial % 3 == 0) ids.push_back(NodeId{1} << 40);  // far sparse tail
+    NodeIdSet set;
+    set.assign(ids);
+    const std::vector<NodeId> probes = probes_for(set, rng);
+    for (const std::size_t limit :
+         {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}, std::size_t{1000}, std::size_t{4000},
+          std::size_t{1} << 20}) {
+      const ChangedIndex index(set, limit);
+      EXPECT_EQ(index.size(), set.size());
+      // Memory stays bounded by the dense limit (to the word).
+      EXPECT_LE(index.dense_ids(), (limit + 63) / 64 * 64);
+      expect_index_matches(set, index, probes);
+    }
+  }
+}
+
+TEST(ChangedIndex, EmptySet) {
+  const NodeIdSet set;
+  const ChangedIndex index(set, 1024);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.dense_ids(), 0u);
+  EXPECT_FALSE(index.contains(0));
+  EXPECT_EQ(index.index_of(5), 0u);
+}
+
+// The generator as first written: a binary search per lookup and one
+// encrypt_key per edge.
+struct Reference {
+  std::vector<Encryption> encryptions;
+  std::map<NodeId, std::vector<std::uint32_t>> needs;
+};
+
+Reference reference_payload(const KeyTree& tree, const BatchUpdate& update,
+                            std::uint32_t msg_id) {
+  const unsigned d = tree.degree();
+  const NodeIdSet& changed = update.changed_knodes;
+  Reference ref;
+  std::map<NodeId, std::uint32_t> by_enc_id;
+  for (std::size_t i = changed.size(); i-- > 0;) {
+    const NodeId x = changed[i];
+    for (unsigned j = 0; j < d; ++j) {
+      const NodeId c = child_of(x, j, d);
+      if (!tree.contains(c)) continue;
+      by_enc_id[c] = static_cast<std::uint32_t>(ref.encryptions.size());
+      ref.encryptions.push_back(
+          {c, x, crypto::encrypt_key(tree.key_of(c), tree.key_of(x), msg_id,
+                                     c)});
+    }
+  }
+  if (changed.empty()) return ref;
+  for (const NodeId slot : tree.user_slots()) {
+    std::vector<std::uint32_t> chain;
+    for (NodeId c = slot; c != kRootId; c = parent_of(c, d))
+      if (changed.contains(parent_of(c, d))) chain.push_back(by_enc_id.at(c));
+    if (!chain.empty()) ref.needs.emplace(slot, chain);
+  }
+  return ref;
+}
+
+void expect_payload_matches(const RekeyPayload& p, const Reference& ref) {
+  ASSERT_EQ(p.encryptions.size(), ref.encryptions.size());
+  for (std::size_t i = 0; i < ref.encryptions.size(); ++i) {
+    ASSERT_EQ(p.encryptions[i].enc_id, ref.encryptions[i].enc_id) << i;
+    ASSERT_EQ(p.encryptions[i].target_id, ref.encryptions[i].target_id) << i;
+    ASSERT_EQ(p.encryptions[i].payload, ref.encryptions[i].payload) << i;
+  }
+  ASSERT_EQ(p.user_needs.size(), ref.needs.size());
+  for (const auto& [slot, span] : p.user_needs) {
+    const auto it = ref.needs.find(slot);
+    ASSERT_NE(it, ref.needs.end()) << "slot " << slot;
+    ASSERT_EQ(std::vector<std::uint32_t>(span.begin(), span.end()),
+              it->second)
+        << "slot " << slot;
+  }
+}
+
+TEST(ChangedIndex, PayloadPastDenseCapacityMatchesReference) {
+  KeyTree tree = KeyTree::from_nodes(2, 11, chain_tree_nodes(20));
+  Marker marker(tree);
+  // One leave plus two joins under the deepest k-node: every changed
+  // k-node on the chain is refreshed, the deepest ones in overflow.
+  const BatchUpdate update = marker.run(std::vector<MemberId>{200, 201},
+                                        std::vector<MemberId>{100});
+  const NodeIdSet& changed = update.changed_knodes;
+  ASSERT_GT(changed[changed.size() - 1], tree.dense_capacity());
+  const ChangedIndex index(changed, tree.dense_capacity());
+  EXPECT_LE(index.dense_ids(), (tree.dense_capacity() + 63) / 64 * 64);
+  Rng rng(3);
+  expect_index_matches(changed, index, probes_for(changed, rng));
+
+  const Reference ref = reference_payload(tree, update, 17);
+  RekeyPayload serial;
+  generate_rekey_payload_into(tree, update, 17, serial);
+  expect_payload_matches(serial, ref);
+  ThreadPool pool(4);
+  TaskRunner runner(&pool);
+  for (const unsigned shards : {1u, 2u, 8u}) {
+    RekeyPayload sharded;
+    generate_rekey_payload_sharded(tree, update, 17, sharded,
+                                   ShardPlan::make(2, shards), runner);
+    expect_payload_matches(sharded, ref);
+  }
+}
+
+TEST(ChangedIndex, PayloadMatchesReferenceUnderRandomChurn) {
+  for (const unsigned d : {2u, 3u, 4u, 8u}) {
+    KeyTree tree(d, 40 + d);
+    tree.populate(3000);
+    Rng rng(d);
+    MemberId next = 3000;
+    std::vector<MemberId> members(3000);
+    for (MemberId m = 0; m < 3000; ++m) members[m] = m;
+    for (int batch = 0; batch < 4; ++batch) {
+      const std::size_t J = rng.next_u64() % 400;
+      const std::size_t L = rng.next_u64() % 400;
+      std::vector<MemberId> joins, leaves;
+      for (std::size_t j = 0; j < J; ++j) joins.push_back(next++);
+      for (std::size_t l = 0; l < L && !members.empty(); ++l) {
+        const std::size_t at = rng.next_u64() % members.size();
+        leaves.push_back(members[at]);
+        members[at] = members.back();
+        members.pop_back();
+      }
+      members.insert(members.end(), joins.begin(), joins.end());
+      Marker marker(tree);
+      const BatchUpdate update = marker.run(joins, leaves);
+      const Reference ref = reference_payload(tree, update, batch);
+      ThreadPool pool(3);
+      const RekeyPayload p =
+          generate_rekey_payload(tree, update, batch, &pool);
+      expect_payload_matches(p, ref);
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 // and robustness against messages that do not concern the user.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "common/ensure.h"
+#include "common/rng.h"
 #include "keytree/user_view.h"
 
 namespace rekey::tree {
@@ -151,6 +155,68 @@ TEST(UserKeyView, ReapplyingIsIdempotent) {
   EXPECT_EQ(v.apply(1, 5, encs), 1u);
   EXPECT_EQ(v.apply(1, 5, encs), 1u);  // learned again, same value
   EXPECT_EQ(v.key_at(5).value(), k5);
+}
+
+// The client decrypt path at scale: after a churn batch on a 2^15-member
+// tree, every remaining member rebuilds the new group key from the
+// encryptions its needs list names (the content of its ENC packet) and
+// nothing else, every joined member does so from its individual key
+// alone, and departed members never learn it.
+TEST(UserKeyView, EveryMemberRebuildsGroupKeyAfterChurnAt2e15) {
+  constexpr std::size_t kN = std::size_t{1} << 15;
+  constexpr std::uint32_t kMsgId = 5;
+  KeyTree tree(4, 77);
+  tree.populate(kN);
+  std::vector<UserKeyView> views;
+  views.reserve(kN);
+  for (MemberId m = 0; m < kN; ++m) {
+    const NodeId slot = tree.slot_of(m);
+    views.emplace_back(m, slot, 4, tree.keys_for_slot(slot));
+  }
+  Rng rng(15);
+  std::vector<MemberId> leaves;
+  for (const auto pick : rng.sample_without_replacement(kN, kN / 16))
+    leaves.push_back(static_cast<MemberId>(pick));
+  std::vector<MemberId> joins;
+  for (std::size_t j = 0; j < kN / 16; ++j)
+    joins.push_back(static_cast<MemberId>(kN + j));
+  Marker marker(tree);
+  const BatchUpdate update = marker.run(joins, leaves);
+  const RekeyPayload payload = generate_rekey_payload(tree, update, kMsgId);
+  const crypto::SymmetricKey root = tree.group_key();
+
+  auto packet_for = [&](NodeId slot) {
+    std::vector<Encryption> packet;
+    for (const std::uint32_t i : payload.user_needs.needs_of(slot))
+      packet.push_back(payload.encryptions[i]);
+    return packet;
+  };
+  const std::set<MemberId> departed(leaves.begin(), leaves.end());
+  std::size_t rebuilt = 0;
+  for (MemberId m = 0; m < kN; ++m) {
+    if (departed.count(m) != 0) continue;
+    UserKeyView& view = views[m];
+    view.apply(kMsgId, payload.max_kid, packet_for(tree.slot_of(m)));
+    ASSERT_EQ(view.id(), tree.slot_of(m)) << "member " << m;
+    ASSERT_EQ(view.group_key(), root) << "member " << m;
+    ++rebuilt;
+  }
+  for (const MemberId m : joins) {
+    const NodeId slot = tree.slot_of(m);
+    const std::pair<NodeId, crypto::SymmetricKey> individual{
+        slot, tree.key_of(slot)};
+    UserKeyView view(m, slot, 4, std::span(&individual, 1));
+    view.apply(kMsgId, payload.max_kid, packet_for(slot));
+    ASSERT_EQ(view.group_key(), root) << "joined member " << m;
+    ++rebuilt;
+  }
+  EXPECT_EQ(rebuilt, tree.num_users());
+  // A departed member offered the whole message still cannot decrypt.
+  for (std::size_t i = 0; i < 32; ++i) {
+    UserKeyView& view = views[leaves[i]];
+    view.apply(kMsgId, payload.max_kid, payload.encryptions);
+    EXPECT_NE(view.group_key(), root) << "departed member " << leaves[i];
+  }
 }
 
 }  // namespace
