@@ -9,6 +9,10 @@
 // golden diff gives the timing columns an unbounded tolerance
 // (tools/bench_diff.py --col-rtol) while holding counts exact.
 //
+// A "clustered" row at the largest N takes its N/16 leaves from one
+// contiguous member block, the churn pattern the daemon produces; it
+// times marking on a changed set that is one run of slots.
+//
 // The second section re-runs encryption generation with the worker pool
 // (REKEY_THREADS / hardware concurrency): the fan-out writes to fixed
 // output slots, so its payload is bit-identical to the serial one — the
@@ -59,11 +63,13 @@ struct PointResult {
 };
 
 // Builds a fresh N-user tree, applies one (J, L) batch, and times each
-// pipeline stage. `pool` (may be null) is used only for the extra
-// parallel payload-generation measurement.
+// pipeline stage. Leaves are L uniform members, or with `clustered` one
+// contiguous block of L members (the daemon's oldest-churn-block
+// pattern, whose changed slots form one run). `pool` (may be null) is
+// used only for the extra parallel payload-generation measurement.
 PointResult run_point(std::size_t N, std::size_t J, std::size_t L,
                       unsigned d, std::uint64_t seed, int trials,
-                      ThreadPool* pool) {
+                      ThreadPool* pool, bool clustered = false) {
   PointResult r;
   r.mark_us = r.payload_us = r.assign_us = r.payload_parallel_us = 1e300;
   for (int t = 0; t < trials; ++t) {
@@ -72,8 +78,14 @@ PointResult run_point(std::size_t N, std::size_t J, std::size_t L,
     kt.populate(N);
     std::vector<tree::MemberId> leaves;
     leaves.reserve(L);
-    for (const auto pick : rng.sample_without_replacement(N, L))
-      leaves.push_back(static_cast<tree::MemberId>(pick));
+    if (clustered) {
+      const std::uint64_t first = rng.next_in(0, N - L);
+      for (std::size_t i = 0; i < L; ++i)
+        leaves.push_back(static_cast<tree::MemberId>(first + i));
+    } else {
+      for (const auto pick : rng.sample_without_replacement(N, L))
+        leaves.push_back(static_cast<tree::MemberId>(pick));
+    }
     std::vector<tree::MemberId> joins;
     joins.reserve(J);
     for (std::size_t j = 0; j < J; ++j)
@@ -247,6 +259,18 @@ int main(int argc, char** argv) {
       ++idx;
     }
   }
+  {
+    // Clustered churn at the largest size: J = L = N/16 with the leaves
+    // one contiguous member block. Its own seed keeps every other row's
+    // seed (and counts) as they were.
+    const std::size_t N = sizes.back();
+    const std::uint64_t seed = point_seed(0x4B5311ull, 3000);
+    json.add_seed(seed);
+    Row row{N, N / 16, N / 16, "clustered",
+            run_point(N, N / 16, N / 16, d, seed, kTrials, par, true)};
+    all_identical = all_identical && row.res.parallel_identical;
+    rows.push_back(row);
+  }
 
   json.header(std::cout, "KS1 (pipeline)",
               "server batch cost: marking + payload + UKA, per stage",
@@ -372,7 +396,9 @@ int main(int argc, char** argv) {
                    "parallel or sharded pipeline diverged from the serial "
                    "baseline");
   json.note(std::cout,
-            "Counts are deterministic and match the A1 model; timing "
+            "Counts are deterministic and match the A1 model (uniform "
+            "departures; the clustered row's one leave block needs far "
+            "fewer encryptions); timing "
             "columns are hardware-dependent (CI diffs them with unbounded "
             "tolerance). Parallel payloads and the sharded pipeline at "
             "every shard count are bit-identical to serial, with or "

@@ -8,8 +8,8 @@
 
 namespace rekey::tree {
 
-void Marker::defer_user_draw(MemberId m) {
-  draws_.push_back({tree_.keygen_.counter(), 0, m, true});
+void Marker::defer_user_draw(MemberId m, NodeId slot) {
+  draws_.push_back({tree_.keygen_.counter(), slot, m, true});
   tree_.keygen_.skip(1);
 }
 
@@ -38,8 +38,11 @@ void Marker::materialize(rekey::TaskRunner* runner, std::size_t chunks) {
       for (std::size_t i = 0; i < take; ++i) {
         const Draw& d = draws_[b + i];
         // Distinct draws target distinct nodes (one draw per member, one
-        // refresh per k-node), so writes are disjoint across chunks.
-        const NodeId id = d.is_member ? tree_.slot_of(d.member) : d.node;
+        // refresh per k-node), so writes are disjoint across chunks. A
+        // split may have moved a user placed this batch, so after one the
+        // member's current slot is looked up.
+        const NodeId id =
+            d.is_member && split_ ? tree_.slot_of(d.member) : d.node;
         tree_.key_ref(id) = keys[i];
       }
     }
@@ -60,7 +63,7 @@ NodeId Marker::place_user(MemberId m, NodeId slot) {
   // the inline implementation made them (determinism contract). The key
   // itself is deferred; the arena holds a placeholder until materialize.
   tree_.set_unode(slot, crypto::SymmetricKey{}, m);
-  defer_user_draw(m);
+  defer_user_draw(m, slot);
   return slot;
 }
 
@@ -90,11 +93,10 @@ void Marker::create_ancestors(NodeId slot, bool live_draws) {
     }
     tree_.set_knode(id, crypto::SymmetricKey{});
     defer_knode_draw(id, live_draws);
-    changed_scratch_.push_back(id);
   }
 }
 
-void Marker::split_first_user(BatchUpdate& upd,
+void Marker::split_first_user(std::vector<Split>& splits,
                               std::vector<NodeId>& free_slots) {
   REKEY_ENSURE(free_slots.empty());
   const auto nk = tree_.max_knode_id();
@@ -105,8 +107,8 @@ void Marker::split_first_user(BatchUpdate& upd,
 
   // The user at s descends to s's leftmost child; s becomes a k-node.
   // The key copy may be a placeholder when the user was placed this very
-  // batch — its deferred draw is member-keyed, so materialization writes
-  // the real key to the final slot either way.
+  // batch; split_ makes materialization resolve user draws by member, so
+  // the real key still lands in the final slot.
   const crypto::SymmetricKey user_key = tree_.key_cref(s);
   const MemberId member = tree_.member_at(s);
   const NodeId dest = child_of(s, 0, tree_.degree_);
@@ -116,11 +118,8 @@ void Marker::split_first_user(BatchUpdate& upd,
   tree_.set_knode(s, crypto::SymmetricKey{});
   // s is in the changed set, so its creation draw is dead (refreshed).
   defer_knode_draw(s, false);
-  changed_scratch_.push_back(s);
-  upd.moved[s] = dest;
-  // If the relocated user joined in this very batch, report its final slot.
-  const auto jit = upd.joined.find(member);
-  if (jit != upd.joined.end()) jit->second = dest;
+  splits.push_back({s, dest, member});
+  split_ = true;
 
   // d-1 fresh sibling slots, stored descending so pop_back yields the
   // smallest id first ("in order from low to high").
@@ -128,23 +127,34 @@ void Marker::split_first_user(BatchUpdate& upd,
     free_slots.push_back(child_of(s, j, tree_.degree_));
 }
 
-bool Marker::structural_pass(std::span<const MemberId> joins,
-                             std::span<const MemberId> leaves,
-                             BatchUpdate& upd,
-                             std::vector<NodeId>& changed_slots) {
-  changed_scratch_.clear();
+std::vector<NodeId> Marker::structural_pass(std::span<const MemberId> joins,
+                                            std::span<const MemberId> leaves,
+                                            BatchUpdate& upd,
+                                            bool& bootstrap) {
   draws_.clear();
+  split_ = false;
 
+  // Validation precedes any mutation; a leave's slot comes from the same
+  // lookup that validates it.
   for (const MemberId m : joins)
     REKEY_ENSURE_MSG(!tree_.has_member(m), "join of an existing member");
-  for (const MemberId m : leaves)
-    REKEY_ENSURE_MSG(tree_.has_member(m), "leave of an unknown member");
+  std::vector<std::pair<MemberId, NodeId>> departed;
+  departed.reserve(leaves.size());
+  for (const MemberId m : leaves) {
+    const NodeId* slot = tree_.slot_of_member_.find(m);
+    REKEY_ENSURE_MSG(slot != nullptr, "leave of an unknown member");
+    departed.emplace_back(m, *slot);
+  }
+
+  std::vector<NodeId> changed_slots;
+  std::vector<std::pair<MemberId, NodeId>> joined;
+  joined.reserve(joins.size());
 
   // Bootstrap: an empty tree is (re)built directly; every k-node is new and
   // therefore changed. No final refresh — all draws are live.
-  if (tree_.empty()) {
-    REKEY_ENSURE(leaves.empty());
-    if (joins.empty()) return true;
+  bootstrap = tree_.empty();
+  if (bootstrap) {
+    if (joins.empty()) return changed_slots;
     unsigned height = 1;
     std::size_t capacity = tree_.degree_;
     while (capacity < joins.size()) {
@@ -158,44 +168,41 @@ bool Marker::structural_pass(std::span<const MemberId> joins,
       const NodeId slot = first_leaf + i;
       place_user(joins[i], slot);
       create_ancestors(slot, /*live_draws=*/true);
-      upd.joined.emplace(joins[i], slot);
+      joined.emplace_back(joins[i], slot);
+      changed_slots.push_back(slot);
     }
-    upd.changed_knodes.assign(std::move(changed_scratch_));
-    changed_scratch_ = {};
-    upd.max_kid = tree_.max_knode_id().value_or(0);
-    return true;
+    upd.joined.assign(std::move(joined));
+    return changed_slots;
   }
 
   const std::size_t J = joins.size();
   const std::size_t L = leaves.size();
 
-  std::vector<NodeId> departed;
-  departed.reserve(L);
-  for (const MemberId m : leaves) {
-    const NodeId slot = tree_.slot_of(m);
-    departed.push_back(slot);
-    upd.departed.emplace(m, slot);
-  }
-  std::sort(departed.begin(), departed.end());
+  std::vector<NodeId> departed_slots;
+  departed_slots.reserve(L);
+  for (const auto& [m, slot] : departed) departed_slots.push_back(slot);
+  std::sort(departed_slots.begin(), departed_slots.end());
+  upd.departed.assign(std::move(departed));
 
   changed_slots.reserve(std::max(J, L));
+  std::vector<Split> splits;
 
   // Replace the min(J, L) smallest-id departed slots with joins. The new
   // member gets a fresh individual key (the old one is known to the
   // departed user).
   const std::size_t replaced = std::min(J, L);
   for (std::size_t i = 0; i < replaced; ++i) {
-    const NodeId slot = departed[i];
+    const NodeId slot = departed_slots[i];
     tree_.remove_node(slot);
     place_user(joins[i], slot);
-    upd.joined.emplace(joins[i], slot);
+    joined.emplace_back(joins[i], slot);
     changed_slots.push_back(slot);
   }
 
   if (J < L) {
     // Remaining departures become n-nodes; childless k-nodes are pruned.
     for (std::size_t i = J; i < L; ++i) {
-      const NodeId slot = departed[i];
+      const NodeId slot = departed_slots[i];
       tree_.remove_node(slot);
       changed_slots.push_back(slot);
       if (slot != kRootId) prune_upwards(parent_of(slot, tree_.degree_));
@@ -219,58 +226,91 @@ bool Marker::structural_pass(std::span<const MemberId> joins,
     }
 
     for (std::size_t i = L; i < J; ++i) {
-      if (free_slots.empty()) split_first_user(upd, free_slots);
+      if (free_slots.empty()) split_first_user(splits, free_slots);
       const NodeId slot = free_slots.back();
       free_slots.pop_back();
       place_user(joins[i], slot);
       create_ancestors(slot, /*live_draws=*/false);
-      upd.joined.emplace(joins[i], slot);
+      joined.emplace_back(joins[i], slot);
       changed_slots.push_back(slot);
     }
   }
 
-  // Users relocated by splits count as changed slots too.
-  for (const auto& [old_slot, new_slot] : upd.moved)
-    changed_slots.push_back(new_slot);
-  return false;
+  // Users relocated by splits count as changed slots too. A user who
+  // joined this batch and was split (maybe more than once) reports its
+  // final slot: the relocations apply in order to the sorted joins.
+  const auto by_member = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(joined.begin(), joined.end(), by_member);
+  std::vector<std::pair<NodeId, NodeId>> moved;
+  moved.reserve(splits.size());
+  for (const Split& sp : splits) {
+    const auto it = std::lower_bound(joined.begin(), joined.end(),
+                                     std::pair{sp.member, NodeId{0}},
+                                     by_member);
+    if (it != joined.end() && it->first == sp.member) it->second = sp.to;
+    moved.emplace_back(sp.from, sp.to);
+    changed_slots.push_back(sp.to);
+  }
+  upd.joined.assign(std::move(joined));
+  upd.moved.assign(std::move(moved));
+  return changed_slots;
+}
+
+NodeIdSet Marker::changed_knodes(std::vector<NodeId> slots) const {
+  // Replaces the frontier by its parents one level at a time, so a shared
+  // ancestor is visited once per step, not once per slot. parent_of is
+  // monotone in BFS ids, so a sorted frontier maps to a sorted parent
+  // list and one adjacent-unique step removes the shared ancestors. The
+  // walk passes through absent ids: pruning can leave gaps between a
+  // changed slot and the k-nodes above it. Ancestors reached at different
+  // steps (slots at different depths) may repeat across steps; the final
+  // assign de-duplicates them.
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  std::vector<NodeId> knodes;
+  std::vector<NodeId>& frontier = slots;
+  while (!frontier.empty()) {
+    std::size_t n = 0;
+    for (const NodeId id : frontier) {
+      if (id == kRootId) continue;
+      const NodeId p = parent_of(id, tree_.degree_);
+      if (n > 0 && frontier[n - 1] == p) continue;
+      frontier[n++] = p;  // n never passes the read position
+      if (tree_.state_at(p) == KeyTree::kKNode) knodes.push_back(p);
+    }
+    frontier.resize(n);
+  }
+  NodeIdSet out;
+  out.assign(std::move(knodes));
+  return out;
+}
+
+BatchUpdate Marker::apply(std::span<const MemberId> joins,
+                          std::span<const MemberId> leaves,
+                          rekey::TaskRunner* runner, std::size_t chunks) {
+  BatchUpdate upd;
+  bool bootstrap = false;
+  upd.changed_knodes =
+      changed_knodes(structural_pass(joins, leaves, upd, bootstrap));
+  // Every changed k-node gets a fresh key, drawn in ascending id order.
+  // Bootstrap creation draws are already live and final. Created k-nodes
+  // are all ancestors of changed slots, so the walk finds them; a J<L
+  // batch creates none, so pruning cannot remove a changed k-node.
+  if (!bootstrap)
+    for (const NodeId x : upd.changed_knodes)
+      defer_knode_draw(x, /*live=*/true);
+  materialize(runner, chunks);
+
+  upd.max_kid = tree_.max_knode_id().value_or(0);
+  if (!tree_.empty()) tree_.rebalance();
+  return upd;
 }
 
 BatchUpdate Marker::run(std::span<const MemberId> joins,
                         std::span<const MemberId> leaves) {
-  BatchUpdate upd;
-  std::vector<NodeId> changed_slots;
-  if (structural_pass(joins, leaves, upd, changed_slots)) {
-    materialize(nullptr, 1);
-    if (!tree_.empty()) tree_.rebalance();
-    return upd;
-  }
-
-  // Every existing k-node on a path from a changed slot to the root gets a
-  // fresh key. (Ancestors pruned away no longer exist and need none.)
-  // Collected with duplicates and batch-sorted: the ascending refresh
-  // order below is identical to the old std::set iteration.
-  for (const NodeId slot : changed_slots) {
-    NodeId id = slot;
-    while (id != kRootId) {
-      id = parent_of(id, tree_.degree_);
-      if (tree_.state_at(id) == KeyTree::kKNode)
-        changed_scratch_.push_back(id);
-    }
-  }
-  upd.changed_knodes.assign(std::move(changed_scratch_));
-  changed_scratch_ = {};
-  for (const NodeId x : upd.changed_knodes) {
-    // A k-node can have been marked changed (created during placement) and
-    // pruned afterwards only in the J<L path, which never creates nodes;
-    // so every changed k-node still exists.
-    REKEY_ENSURE(tree_.state_at(x) == KeyTree::kKNode);
-    defer_knode_draw(x, /*live=*/true);
-  }
-  materialize(nullptr, 1);
-
-  upd.max_kid = tree_.max_knode_id().value_or(0);
-  tree_.rebalance();
-  return upd;
+  return apply(joins, leaves, nullptr, 1);
 }
 
 BatchUpdate Marker::run_sharded(std::span<const MemberId> joins,
@@ -280,100 +320,18 @@ BatchUpdate Marker::run_sharded(std::span<const MemberId> joins,
                                 ShardBatchStats* stats) {
   REKEY_ENSURE_MSG(plan.degree == tree_.degree_,
                    "shard plan degree does not match the tree");
-  BatchUpdate upd;
-  std::vector<NodeId> changed_slots;
-  if (structural_pass(joins, leaves, upd, changed_slots)) {
-    // Bootstrap builds the whole changed set serially; only the key
-    // materialization (the HMAC-heavy part) fans out.
-    materialize(&runner, plan.shards);
-    if (!tree_.empty()) tree_.rebalance();
-    if (stats != nullptr) {
-      stats->shard_changed.assign(plan.shards, 0);
-      stats->aggregator_changed = 0;
-      for (std::size_t i = 0; i < upd.changed_knodes.size(); ++i) {
-        const unsigned s = plan.shard_of(upd.changed_knodes[i]);
-        if (s == ShardPlan::kAggregator)
-          ++stats->aggregator_changed;
-        else
-          ++stats->shard_changed[s];
-      }
-    }
-    return upd;
-  }
-
-  const unsigned S = plan.shards;
-  // Bin changed slots by owning shard; slots above the cut (tiny trees)
-  // go to the aggregator task's bin.
-  std::vector<std::vector<NodeId>> slot_bins(S + 1);
-  for (const NodeId slot : changed_slots) {
-    const unsigned s = plan.shard_of(slot);
-    slot_bins[s == ShardPlan::kAggregator ? S : s].push_back(slot);
-  }
-
-  // Per-shard path walks. A slot's ancestors at or below the cut stay in
-  // the slot's own shard (they share its cut-level ancestor), so each
-  // task writes only its own below-cut vector; above-cut ancestors go to
-  // the task's private aggregator contribution. Created k-nodes need no
-  // separate seeding: every one is an ancestor of some changed slot, so
-  // the walks rediscover them, exactly as the serial scratch collection
-  // does after sort+unique.
-  std::vector<std::vector<NodeId>> shard_sets(S);
-  std::vector<std::vector<NodeId>> agg_contrib(S + 1);
-  runner.run(S + 1, [&](std::size_t t) {
-    std::vector<NodeId>& above = agg_contrib[t];
-    std::vector<NodeId>* below = t < S ? &shard_sets[t] : nullptr;
-    for (const NodeId slot : slot_bins[t]) {
-      NodeId id = slot;
-      while (id != kRootId) {
-        id = parent_of(id, tree_.degree_);
-        if (tree_.state_at(id) != KeyTree::kKNode) continue;
-        if (below != nullptr && id >= plan.first_cut_id)
-          below->push_back(id);
-        else
-          above.push_back(id);
-      }
-    }
-    if (below != nullptr) {
-      std::sort(below->begin(), below->end());
-      below->erase(std::unique(below->begin(), below->end()), below->end());
-    }
-  });
-
-  // Aggregator set: the region above the cut is tiny (< d^cut_level
-  // * d/(d-1) ids), so a serial sort+unique of the contributions is noise.
-  std::vector<NodeId> aggregator;
-  for (const std::vector<NodeId>& contrib : agg_contrib)
-    aggregator.insert(aggregator.end(), contrib.begin(), contrib.end());
-  std::sort(aggregator.begin(), aggregator.end());
-  aggregator.erase(std::unique(aggregator.begin(), aggregator.end()),
-                   aggregator.end());
-
+  BatchUpdate upd = apply(joins, leaves, &runner, plan.shards);
   if (stats != nullptr) {
-    stats->shard_changed.assign(S, 0);
-    for (unsigned s = 0; s < S; ++s)
-      stats->shard_changed[s] = shard_sets[s].size();
-    stats->aggregator_changed = aggregator.size();
-    check_shard_partition(plan, shard_sets, aggregator);
+    stats->shard_changed.assign(plan.shards, 0);
+    stats->aggregator_changed = 0;
+    for (const NodeId x : upd.changed_knodes) {
+      const unsigned s = plan.shard_of(x);
+      if (s == ShardPlan::kAggregator)
+        ++stats->aggregator_changed;
+      else
+        ++stats->shard_changed[s];
+    }
   }
-
-  // Deterministic merge: aggregator ids all precede the first cut id, and
-  // the per-shard sets are pairwise disjoint, so the merged vector equals
-  // the serial sort+unique of the full scratch regardless of the order
-  // the shard tasks completed in.
-  std::vector<std::vector<NodeId>> parts;
-  parts.reserve(S + 1);
-  parts.push_back(std::move(aggregator));
-  for (std::vector<NodeId>& set : shard_sets) parts.push_back(std::move(set));
-  upd.changed_knodes.assign_sorted(merge_disjoint_sorted(std::move(parts)));
-
-  for (const NodeId x : upd.changed_knodes) {
-    REKEY_ENSURE(tree_.state_at(x) == KeyTree::kKNode);
-    defer_knode_draw(x, /*live=*/true);
-  }
-  materialize(&runner, plan.shards);
-
-  upd.max_kid = tree_.max_knode_id().value_or(0);
-  tree_.rebalance();
   return upd;
 }
 

@@ -25,8 +25,9 @@
 // serial run materializes inline, the sharded run fans the draws out
 // across a TaskRunner, and both produce the byte-identical tree a fully
 // inline next() sequence would. Two draw classes exist:
-//   * user draws, keyed by MemberId so a split relocating the slot still
-//     lands the key in the member's final slot;
+//   * user draws, recorded with the placement slot and the MemberId; in a
+//     batch that split, the member's final slot is looked up instead, so
+//     a relocated user's key still lands where the user ended up;
 //   * k-node draws, keyed by NodeId. A k-node creation draw is dead in a
 //     non-bootstrap batch (every created k-node is in the changed set and
 //     its key is overwritten by the final refresh), so only the counter
@@ -65,16 +66,6 @@ class NodeIdSet {
     ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
   }
 
-  // Takes ownership of ids that are already sorted and duplicate-free
-  // (the sharded merge produces exactly that); verified, not re-sorted.
-  void assign_sorted(std::vector<NodeId> ids) {
-    REKEY_ENSURE_MSG(std::is_sorted(ids.begin(), ids.end()) &&
-                         std::adjacent_find(ids.begin(), ids.end()) ==
-                             ids.end(),
-                     "assign_sorted input is not sorted and unique");
-    ids_ = std::move(ids);
-  }
-
   const_iterator begin() const { return ids_.begin(); }
   const_iterator end() const { return ids_.end(); }
   std::size_t size() const { return ids_.size(); }
@@ -110,16 +101,78 @@ class NodeIdSet {
   std::vector<NodeId> ids_;
 };
 
+// A sorted map stored as one contiguous vector of (key, value) pairs,
+// the membership counterpart of NodeIdSet: filled once per batch, then
+// read-only. Lookups are binary searches; iteration is in key order.
+template <typename K, typename V>
+class SortedPairMap {
+ public:
+  using value_type = std::pair<K, V>;
+  using const_iterator = typename std::vector<value_type>::const_iterator;
+
+  SortedPairMap() = default;
+
+  // Takes ownership of pairs with distinct keys, in any order.
+  void assign(std::vector<value_type> pairs) {
+    const auto by_key = [](const value_type& a, const value_type& b) {
+      return a.first < b.first;
+    };
+    if (!std::is_sorted(pairs.begin(), pairs.end(), by_key))
+      std::sort(pairs.begin(), pairs.end(), by_key);
+    REKEY_ENSURE_MSG(
+        std::adjacent_find(pairs.begin(), pairs.end(),
+                           [](const value_type& a, const value_type& b) {
+                             return a.first == b.first;
+                           }) == pairs.end(),
+        "duplicate key in a batch map");
+    pairs_ = std::move(pairs);
+  }
+
+  const_iterator begin() const { return pairs_.begin(); }
+  const_iterator end() const { return pairs_.end(); }
+  std::size_t size() const { return pairs_.size(); }
+  bool empty() const { return pairs_.empty(); }
+
+  const_iterator find(K key) const {
+    const auto it = std::lower_bound(
+        pairs_.begin(), pairs_.end(), key,
+        [](const value_type& p, K k) { return p.first < k; });
+    return it != pairs_.end() && it->first == key ? it : pairs_.end();
+  }
+  const V& at(K key) const {
+    const auto it = find(key);
+    REKEY_ENSURE_MSG(it != pairs_.end(), "key not in the batch map");
+    return it->second;
+  }
+
+  friend bool operator==(const SortedPairMap& a, const SortedPairMap& b) {
+    return a.pairs_ == b.pairs_;
+  }
+  friend bool operator==(const SortedPairMap& a, const std::map<K, V>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(),
+                      [](const value_type& x, const auto& y) {
+                        return x.first == y.first && x.second == y.second;
+                      });
+  }
+  friend bool operator==(const std::map<K, V>& a, const SortedPairMap& b) {
+    return b == a;
+  }
+
+ private:
+  std::vector<value_type> pairs_;
+};
+
 // Outcome of one batch, consumed by encryption generation and by tests.
 struct BatchUpdate {
   // k-nodes whose keys were refreshed (includes newly created k-nodes).
   NodeIdSet changed_knodes;
   // Members placed this batch, with their slots.
-  std::map<MemberId, NodeId> joined;
+  SortedPairMap<MemberId, NodeId> joined;
   // Members removed this batch, with their former slots.
-  std::map<MemberId, NodeId> departed;
+  SortedPairMap<MemberId, NodeId> departed;
   // Users relocated by splitting: old slot -> new slot.
-  std::map<NodeId, NodeId> moved;
+  SortedPairMap<NodeId, NodeId> moved;
   // Maximum k-node id after the batch (the ENC packet maxKID field).
   NodeId max_kid = 0;
 };
@@ -133,14 +186,11 @@ class Marker {
   BatchUpdate run(std::span<const MemberId> joins,
                   std::span<const MemberId> leaves);
 
-  // Sharded variant: the structural pass runs serially (it is O(batch)),
-  // then changed-set collection runs as one independent task per shard
-  // plus an aggregator task on `runner`, the per-shard sorted sets merge
-  // deterministically (shard-order-independent), and the deferred key
-  // draws materialize in parallel. The resulting tree, update, and key
-  // material are bit-identical to run() for every shard/thread count.
-  // When `stats` is non-null it is filled with per-shard changed counts
-  // and the partition is validated with check_shard_partition.
+  // Sharded variant, bit-identical to run() for every shard and thread
+  // count. Marking itself is O(batch) and runs on the calling thread; the
+  // deferred key draws then materialize in plan.shards chunks on
+  // `runner`. When `stats` is non-null it is filled with the changed
+  // k-nodes per owning shard (ShardPlan::shard_of).
   BatchUpdate run_sharded(std::span<const MemberId> joins,
                           std::span<const MemberId> leaves,
                           const ShardPlan& plan, rekey::TaskRunner& runner,
@@ -150,37 +200,51 @@ class Marker {
   // One deferred key draw: stream index plus the final destination.
   struct Draw {
     std::uint64_t counter = 0;
-    NodeId node = 0;      // k-node draws
-    MemberId member = 0;  // user draws (slot resolved at materialization)
+    NodeId node = 0;      // k-node, or the slot a user was placed at
+    MemberId member = 0;  // user draws
     bool is_member = false;
+  };
+
+  // One split: the user `member` moved from slot `from` (now a k-node)
+  // down to slot `to`.
+  struct Split {
+    NodeId from = 0;
+    NodeId to = 0;
+    MemberId member = 0;
   };
 
   NodeId place_user(MemberId m, NodeId slot);           // create u-node
   void prune_upwards(NodeId from_parent);               // drop empty k-nodes
   void create_ancestors(NodeId slot, bool live_draws);  // n-node -> k-node
-  void split_first_user(BatchUpdate& upd,
+  void split_first_user(std::vector<Split>& splits,
                         std::vector<NodeId>& free_slots);
 
-  void defer_user_draw(MemberId m);
+  void defer_user_draw(MemberId m, NodeId slot);
   void defer_knode_draw(NodeId id, bool live);
   // Computes every recorded live draw via key_at and writes it home. With
   // a runner and chunks > 1 the draws fan out in fixed chunks (disjoint
   // destinations, so any execution order is safe).
   void materialize(rekey::TaskRunner* runner, std::size_t chunks);
 
-  // The marking algorithm proper (draws deferred). Returns true when the
-  // bootstrap path ran, in which case upd is complete except for
-  // materialization; otherwise fills upd's membership maps and
-  // changed_slots, leaving changed-set collection to the caller.
-  bool structural_pass(std::span<const MemberId> joins,
-                       std::span<const MemberId> leaves, BatchUpdate& upd,
-                       std::vector<NodeId>& changed_slots);
+  // The marking algorithm proper (draws deferred): mutates the tree,
+  // fills upd's membership maps and returns every changed slot (with
+  // duplicates, in any order). `bootstrap` is set when the tree was
+  // empty and rebuilt directly.
+  std::vector<NodeId> structural_pass(std::span<const MemberId> joins,
+                                      std::span<const MemberId> leaves,
+                                      BatchUpdate& upd, bool& bootstrap);
+  // Every k-node on a path from a changed slot to the root, found by one
+  // level-wise walk (see marking.cpp).
+  NodeIdSet changed_knodes(std::vector<NodeId> slots) const;
+  // Structural pass, changed set, refresh draws and materialization: the
+  // body shared by run() and run_sharded().
+  BatchUpdate apply(std::span<const MemberId> joins,
+                    std::span<const MemberId> leaves,
+                    rekey::TaskRunner* runner, std::size_t chunks);
 
   KeyTree& tree_;
-  // Ids of k-nodes created or path-touched this batch, with duplicates;
-  // sorted+uniqued once into BatchUpdate::changed_knodes.
-  std::vector<NodeId> changed_scratch_;
   std::vector<Draw> draws_;
+  bool split_ = false;  // this batch split a user (slots may have moved)
 };
 
 }  // namespace rekey::tree

@@ -88,24 +88,4 @@ void check_sharded_tree(const KeyTree& tree, const ShardPlan& plan) {
   });
 }
 
-std::vector<NodeId> merge_disjoint_sorted(
-    std::vector<std::vector<NodeId>> parts) {
-  if (parts.empty()) return {};
-  // Pairwise merge rounds: log(parts) passes over the data.
-  while (parts.size() > 1) {
-    std::vector<std::vector<NodeId>> next;
-    next.reserve((parts.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < parts.size(); i += 2) {
-      std::vector<NodeId> merged;
-      merged.reserve(parts[i].size() + parts[i + 1].size());
-      std::merge(parts[i].begin(), parts[i].end(), parts[i + 1].begin(),
-                 parts[i + 1].end(), std::back_inserter(merged));
-      next.push_back(std::move(merged));
-    }
-    if (parts.size() % 2 == 1) next.push_back(std::move(parts.back()));
-    parts = std::move(next);
-  }
-  return std::move(parts.front());
-}
-
 }  // namespace rekey::tree

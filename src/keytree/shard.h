@@ -8,11 +8,10 @@
 //
 // Ownership is a pure function of the node id: ids below the first
 // cut-level id belong to the aggregator; any other id maps to the shard
-// of its cut-level ancestor. Because a path from a slot to the root stays
-// inside one cut subtree until it crosses the cut, per-shard path walks
-// touch only that shard's ids plus aggregator ids — the property that
-// makes per-shard marking tasks race-free and their merged output
-// identical to the serial walk (see marking.h).
+// of its cut-level ancestor. A path from a slot to the root stays inside
+// one cut subtree until it crosses the cut, so every changed k-node is
+// owned by its slot's shard or by the aggregator; the per-shard counts in
+// ShardBatchStats and the enc-id disjointness check rest on that.
 //
 // Determinism contract: sharding changes who computes what, never what is
 // computed. The sharded pipeline must produce bit-identical payloads and
@@ -49,10 +48,9 @@ struct ShardPlan {
   unsigned task_count() const { return shards + 1; }
 };
 
-// Per-batch observability of the sharded pipeline (and the handle tests
-// use to inspect the partition the merge consumed).
+// Per-batch observability of the sharded pipeline.
 struct ShardBatchStats {
-  // Changed k-nodes collected below the cut, per shard.
+  // Changed k-nodes below the cut, per owning shard.
   std::vector<std::size_t> shard_changed;
   // Changed k-nodes at or above the cut (aggregator-owned).
   std::size_t aggregator_changed = 0;
@@ -73,12 +71,5 @@ void check_shard_partition(const ShardPlan& plan,
 // Tree-level variant: verifies the base invariants plus plan/tree degree
 // agreement and that ownership of every present node is well defined.
 void check_sharded_tree(const KeyTree& tree, const ShardPlan& plan);
-
-// Merge of pairwise-disjoint sorted id vectors into one sorted vector —
-// the deterministic merge step of the sharded pipeline. The result is
-// identical to concatenating and sort+unique-ing the inputs, but costs
-// O(total * log(parts)).
-std::vector<NodeId> merge_disjoint_sorted(
-    std::vector<std::vector<NodeId>> parts);
 
 }  // namespace rekey::tree

@@ -79,6 +79,22 @@ bool KeyServerDaemon::step_clock() {
   return dead_;
 }
 
+template <typename Done>
+void KeyServerDaemon::pump_window(Clock::time_point deadline, Done done) {
+  const auto until = std::min(
+      deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
+  while (Clock::now() < until && !stopped()) {
+    pump(ms_until(until));
+    if (done()) return;
+  }
+}
+
+bool KeyServerDaemon::settled(bool EndpointState::*flag) const {
+  for (const auto& [ep, es] : endpoints_)
+    if (!es.dead && !(es.*flag)) return false;
+  return true;
+}
+
 void KeyServerDaemon::maybe_heartbeat() {
   if (!config_.peer || config_.standby || peer_dead_ || dead_) return;
   const int interval =
@@ -341,11 +357,14 @@ void KeyServerDaemon::send_slot_maps() {
   }
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
+  const auto all_acked = [&] {
+    for (const auto& [ep, es] : endpoints_)
+      if (!es.slot_map_acked) return false;
+    return true;
+  };
   bool first = true;
   while (!stopped()) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && es.slot_map_acked;
-    if (all) return;
+    if (all_acked()) return;
     REKEY_ENSURE_MSG(Clock::now() < deadline,
                      "slot map delivery timed out before the first batch");
     for (auto& [ep, es] : endpoints_) {
@@ -354,9 +373,7 @@ void KeyServerDaemon::send_slot_maps() {
       if (!first) ++stats_.control_retransmits;
     }
     first = false;
-    const auto retry =
-        Clock::now() + std::chrono::milliseconds(config_.retry_ms);
-    while (!stopped() && Clock::now() < retry) pump(ms_until(retry));
+    pump_window(Clock::time_point::max(), all_acked);
   }
 }
 
@@ -377,11 +394,9 @@ void KeyServerDaemon::collect_reports(std::uint32_t batch_seq,
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
   bool first = true;
+  const auto reported = [&] { return settled(&EndpointState::report_done); };
   for (;;) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_)
-      all = all && (es.dead || es.report_done);
-    if (all || stopped()) break;
+    if (reported() || stopped()) break;
     if (Clock::now() >= deadline) {
       // Proceed with partial feedback; an endpoint that keeps missing
       // deadlines is dead weight and gets dropped from the lockstep.
@@ -400,15 +415,7 @@ void KeyServerDaemon::collect_reports(std::uint32_t batch_seq,
       if (!first) ++stats_.control_retransmits;
     }
     first = false;
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) {
-      pump(ms_until(retry));
-      bool done = true;
-      for (const auto& [ep, es] : endpoints_)
-        done = done && (es.dead || es.report_done);
-      if (done) break;
-    }
+    pump_window(deadline, reported);
   }
   cur_server_ = nullptr;
 }
@@ -422,19 +429,16 @@ void KeyServerDaemon::collect_done_acks(std::uint32_t batch_seq,
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
   bool first = true;
+  const auto acked = [&] { return settled(&EndpointState::done_acked); };
   for (;;) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && (es.dead || es.done_acked);
-    if (all || stopped() || Clock::now() >= deadline) break;
+    if (acked() || stopped() || Clock::now() >= deadline) break;
     for (auto& [ep, es] : endpoints_) {
       if (es.dead || es.done_acked) continue;
       send_control(ep, done);
       if (!first) ++stats_.control_retransmits;
     }
     first = false;
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) pump(ms_until(retry));
+    pump_window(deadline, acked);
   }
   // DoneAck collection is a lockstep step like any round: an endpoint
   // that blows its deadline takes a missed-deadline strike (and is
@@ -718,17 +722,14 @@ void KeyServerDaemon::fin_handshake() {
   const Bytes fin = serialize(FinFrame{});
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
+  const auto acked = [&] { return settled(&EndpointState::done_acked); };
   while (!stopped() && Clock::now() < deadline) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && (es.dead || es.done_acked);
-    if (all) break;
+    if (acked()) break;
     for (const auto& [ep, es] : endpoints_)
       if (!es.dead && !es.done_acked) send_control(ep, fin);
     if (config_.peer.has_value() && !config_.standby && !peer_dead_)
       send_control(*config_.peer, fin);
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) pump(ms_until(retry));
+    pump_window(deadline, acked);
   }
   // Retire a healthy standby even when every client acked on the first
   // try (the loop above may never have reached a Fin broadcast).
@@ -781,11 +782,9 @@ void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
     }
     for (const Bytes& f : frames) send_control(*config_.peer, f);
     stats_.snapshot_chunks += frames.size();
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped() &&
-           snap_acked_ < static_cast<std::int64_t>(next_batch))
-      pump(ms_until(retry));
+    pump_window(deadline, [&] {
+      return snap_acked_ >= static_cast<std::int64_t>(next_batch);
+    });
   }
   if (snap_acked_ >= static_cast<std::int64_t>(next_batch))
     ++stats_.snapshots_sent;
@@ -879,10 +878,9 @@ void KeyServerDaemon::resub_barrier() {
   const Bytes start = serialize(BatchStartFrame{next_batch_, msg_id, epoch_});
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
+  const auto resubbed = [&] { return settled(&EndpointState::resubbed); };
   for (;;) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && (es.dead || es.resubbed);
-    if (all || stopped()) return;
+    if (resubbed() || stopped()) return;
     if (Clock::now() >= deadline) {
       // A client that cannot re-sync is dead weight, exactly like one
       // that stops reporting: drop it so the replay can proceed.
@@ -895,14 +893,7 @@ void KeyServerDaemon::resub_barrier() {
     }
     for (const auto& [ep, es] : endpoints_)
       if (!es.dead && !es.resubbed) send_control(ep, start);
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) {
-      pump(ms_until(retry));
-      bool done = true;
-      for (const auto& [ep, es] : endpoints_) done = done && (es.dead || es.resubbed);
-      if (done) break;
-    }
+    pump_window(deadline, resubbed);
   }
 }
 

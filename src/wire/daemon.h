@@ -209,6 +209,13 @@ class KeyServerDaemon {
   // lockstep interest (duplicates, stale batches) are answered or
   // dropped here. Returns the number of datagrams processed.
   std::size_t pump(int timeout_ms);
+  // Pumps for one retry_ms window, cut short at `deadline`, returning as
+  // soon as `done()` holds: a lockstep step ends with its last ack, not
+  // with the window.
+  template <typename Done>
+  void pump_window(std::chrono::steady_clock::time_point deadline, Done done);
+  // True when every endpoint is dead or has `flag` set.
+  bool settled(bool EndpointState::*flag) const;
 
   void wait_for_subscriptions();
   void send_slot_maps();

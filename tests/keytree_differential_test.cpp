@@ -48,6 +48,21 @@ class LegacyTree {
   LegacyTree(unsigned degree, std::uint64_t key_seed)
       : degree_(degree), keygen_(key_seed) {}
 
+  // The same starting state as KeyTree::from_nodes (draw counter 0).
+  LegacyTree(unsigned degree, std::uint64_t key_seed,
+             const std::map<NodeId, Node>& nodes)
+      : LegacyTree(degree, key_seed) {
+    nodes_ = nodes;
+    for (const auto& [id, n] : nodes) {
+      if (n.kind == NodeKind::KNode) {
+        knode_ids_.insert(id);
+      } else {
+        unode_ids_.insert(id);
+        slot_of_member_.emplace(n.member, id);
+      }
+    }
+  }
+
   unsigned degree() const { return degree_; }
   bool empty() const { return nodes_.empty(); }
   bool contains(NodeId id) const { return nodes_.count(id) != 0; }
@@ -729,6 +744,221 @@ TEST(ShardedDifferential, AggregatorCutStraddlingSmallTrees) {
 TEST(ShardedDifferential, OtherDegrees) {
   run_sharded_differential(2, 0x5AD300, 25, 64, 4, 8);
   run_sharded_differential(8, 0x5AD301, 25, 200, 4, 8);
+}
+
+
+// ---------------------------------------------------------------------------
+// Oracle lockstep: the legacy implementation, Marker::run and
+// Marker::run_sharded apply the same scripted batches to three trees.
+// Every batch update, tree (keys included) and payload must match the
+// oracle, and the sharded tree must match the serial one. The scripts
+// below aim at the changed-set walk and the flat batch maps: clustered
+// churn, pruning gaps, repeated splits of same-batch joiners, and slots
+// past the dense arena.
+// ---------------------------------------------------------------------------
+
+class OracleLockstep {
+ public:
+  OracleLockstep(unsigned degree, std::uint64_t seed, unsigned shards,
+                 unsigned threads)
+      : ref_(degree, seed),
+        serial_(degree, seed),
+        sharded_(degree, seed),
+        plan_(ShardPlan::make(degree, shards)),
+        pool_(threads),
+        runner_(&pool_) {}
+
+  OracleLockstep(unsigned degree, std::uint64_t seed, unsigned shards,
+                 unsigned threads, const std::map<NodeId, Node>& nodes)
+      : ref_(degree, seed, nodes),
+        serial_(KeyTree::from_nodes(degree, seed, nodes)),
+        sharded_(KeyTree::from_nodes(degree, seed, nodes)),
+        plan_(ShardPlan::make(degree, shards)),
+        pool_(threads),
+        runner_(&pool_) {}
+
+  const KeyTree& tree() const { return serial_; }
+
+  // Applies one batch to all three trees and compares everything; returns
+  // the serial update for script-specific assertions.
+  BatchUpdate apply(const std::vector<MemberId>& joins,
+                    const std::vector<MemberId>& leaves) {
+    const int batch = batch_++;
+    const legacy::LegacyUpdate ref_upd = ref_.run(joins, leaves);
+    BatchUpdate a = Marker(serial_).run(joins, leaves);
+    ShardBatchStats stats;
+    const BatchUpdate b =
+        Marker(sharded_).run_sharded(joins, leaves, plan_, runner_, &stats);
+    expect_updates_equal(a, ref_upd, batch);
+    expect_updates_equal(b, ref_upd, batch);
+    expect_trees_equal(serial_, ref_, batch);
+    expect_flat_trees_equal(serial_, sharded_, batch);
+    if (::testing::Test::HasFatalFailure()) return a;
+    serial_.check_invariants();
+    check_sharded_tree(sharded_, plan_);
+    std::size_t changed_total = stats.aggregator_changed;
+    for (const std::size_t c : stats.shard_changed) changed_total += c;
+    EXPECT_EQ(changed_total, b.changed_knodes.size()) << "batch " << batch;
+
+    const auto msg_id = static_cast<std::uint32_t>(batch + 1);
+    generate_rekey_payload_into(serial_, a, msg_id, serial_payload_);
+    expect_payloads_equal(serial_payload_,
+                          legacy::generate_payload(ref_, ref_upd, msg_id),
+                          batch);
+    generate_rekey_payload_sharded(sharded_, b, msg_id, sharded_payload_,
+                                   plan_, runner_);
+    expect_flat_payloads_equal(serial_payload_, sharded_payload_, batch);
+    return a;
+  }
+
+ private:
+  legacy::LegacyTree ref_;
+  KeyTree serial_;
+  KeyTree sharded_;
+  ShardPlan plan_;
+  rekey::ThreadPool pool_;
+  rekey::TaskRunner runner_;
+  RekeyPayload serial_payload_, sharded_payload_;
+  int batch_ = 0;
+};
+
+std::vector<MemberId> member_range(MemberId first, std::size_t n) {
+  std::vector<MemberId> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = first + static_cast<MemberId>(i);
+  return out;
+}
+
+// The daemon's churn pattern at 2^14: members [clients, N) form a pool,
+// each batch retires its oldest block of N/16 and appends as many fresh
+// joiners, so the changed slots of a batch form one contiguous run.
+TEST(OracleLockstep, ClusteredBlockChurnAt2e14OnFourShards) {
+  constexpr std::size_t kN = std::size_t{1} << 14, kClients = 1024;
+  constexpr std::size_t kChurn = kN / 16;
+  OracleLockstep run(4, 0xC1u, /*shards=*/4, /*threads=*/2);
+  run.apply(member_range(0, kN), {});
+  std::vector<MemberId> pool = member_range(kClients, kN - kClients);
+  MemberId next = kN;
+  for (int batch = 0; batch < 6; ++batch) {
+    const std::vector<MemberId> leaves(pool.begin(), pool.begin() + kChurn);
+    pool.erase(pool.begin(), pool.begin() + kChurn);
+    const std::vector<MemberId> joins = member_range(next, kChurn);
+    next += kChurn;
+    pool.insert(pool.end(), joins.begin(), joins.end());
+    const BatchUpdate upd = run.apply(joins, leaves);
+    if (::testing::Test::HasFatalFailure()) return;
+    // The departed slots really are one contiguous run.
+    const NodeId lo = upd.departed.begin()->second;
+    for (const auto& [m, slot] : upd.departed)
+      EXPECT_EQ(slot, lo + (m - upd.departed.begin()->first)) << batch;
+  }
+}
+
+// J < L batches that empty whole subtrees: pruning turns their k-nodes
+// into n-nodes, so a departed slot's parent (and grandparent) can be
+// absent while a k-node further up is changed. The walk has to pass
+// through those gaps.
+TEST(OracleLockstep, LeaveHeavyBatchesWalkThroughPrunedGaps) {
+  for (const unsigned degree : {2u, 4u}) {
+    Rng rng(0x6A9 + degree);
+    OracleLockstep run(degree, 0x6A90 + degree, /*shards=*/4,
+                       /*threads=*/3);
+    constexpr std::size_t kN = 2048;
+    run.apply(member_range(0, kN), {});
+    MemberId next = kN;
+    bool saw_gap = false;
+    for (int batch = 0; batch < 8; ++batch) {
+      const KeyTree& t = run.tree();
+      const std::vector<NodeId> slots = t.user_slots();
+      // Empty the subtrees of a few k-nodes two levels above random
+      // users, plus a few scattered leaves; join a quarter as many.
+      std::set<MemberId> leave_set;
+      for (int k = 0; k < 3 && !slots.empty(); ++k) {
+        const NodeId pick = slots[rng.next_in(0, slots.size() - 1)];
+        if (pick == kRootId || parent_of(pick, degree) == kRootId) continue;
+        const NodeId top = parent_of(parent_of(pick, degree), degree);
+        for (const NodeId s : slots)
+          if (is_ancestor(top, s, degree)) leave_set.insert(t.node(s).member);
+      }
+      for (int k = 0; k < 5 && !slots.empty(); ++k)
+        leave_set.insert(
+            t.node(slots[rng.next_in(0, slots.size() - 1)]).member);
+      const std::vector<MemberId> leaves(leave_set.begin(), leave_set.end());
+      const std::vector<MemberId> joins =
+          member_range(next, leaves.size() / 4);
+      next += static_cast<MemberId>(joins.size());
+      const BatchUpdate upd = run.apply(joins, leaves);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (const auto& [m, slot] : upd.departed) {
+        if (slot == kRootId || run.tree().contains(slot)) continue;
+        const NodeId parent = parent_of(slot, degree);
+        if (run.tree().contains(parent)) continue;
+        for (NodeId a = parent; a != kRootId;) {
+          a = parent_of(a, degree);
+          if (upd.changed_knodes.contains(a)) saw_gap = true;
+        }
+      }
+    }
+    EXPECT_TRUE(saw_gap) << "no batch left an absent gap below a changed "
+                            "k-node at degree "
+                         << degree;
+  }
+}
+
+// One join-only batch on a nearly full tree: every free slot comes from a
+// split, and the splits soon reach users who joined earlier in the same
+// batch, some of them more than once. joined must report final slots.
+TEST(OracleLockstep, JoinOnlyBatchResplitsSameBatchJoiners) {
+  for (const unsigned degree : {2u, 3u, 4u}) {
+    OracleLockstep run(degree, 0x5B17 + degree, /*shards=*/2,
+                       /*threads=*/2);
+    run.apply(member_range(0, degree), {});
+    const std::vector<MemberId> joins = member_range(1000, 300);
+    const BatchUpdate upd = run.apply(joins, {});
+    if (::testing::Test::HasFatalFailure()) return;
+    // A joiner that ends at the end of a chain of two or more moves was
+    // placed, split, and split again within this batch.
+    std::set<NodeId> move_targets;
+    for (const auto& [from, to] : upd.moved) move_targets.insert(to);
+    std::size_t resplit_joiners = 0;
+    for (const auto& [from, to] : upd.moved) {
+      if (!move_targets.count(from) || upd.moved.find(to) != upd.moved.end())
+        continue;
+      const MemberId m = run.tree().node(to).member;
+      if (upd.joined.find(m) != upd.joined.end()) ++resplit_joiners;
+    }
+    EXPECT_GT(resplit_joiners, 0u) << "degree " << degree;
+  }
+}
+
+// A deep degree-2 chain: the dense arena covers only the top few levels,
+// so the changed slots and most of the changed k-nodes live in the
+// overflow map.
+TEST(OracleLockstep, ChangedSlotsPastDenseCapacity) {
+  crypto::KeyGenerator gen(5);
+  std::map<NodeId, Node> nodes;
+  NodeId id = kRootId;
+  for (unsigned level = 0; level <= 18; ++level) {
+    nodes[id] = Node{NodeKind::KNode, gen.next(), 0};
+    if (level < 18) id = child_of(id, 0, 2);
+  }
+  nodes[child_of(id, 0, 2)] = Node{NodeKind::UNode, gen.next(), 100};
+  nodes[child_of(id, 1, 2)] = Node{NodeKind::UNode, gen.next(), 101};
+  for (const unsigned shards : {2u, 8u}) {
+    OracleLockstep run(2, 0xDEE9, shards, /*threads=*/4, nodes);
+    bool past_dense = false;
+    auto note = [&](const BatchUpdate& upd) {
+      for (const auto& [m, slot] : upd.joined)
+        past_dense = past_dense || slot >= run.tree().dense_capacity();
+      for (const auto& [m, slot] : upd.departed)
+        past_dense = past_dense || slot >= run.tree().dense_capacity();
+    };
+    note(run.apply({200, 201, 202}, {100}));          // J > L, fills
+    note(run.apply(member_range(300, 40), {}));       // fills and splits
+    note(run.apply({400}, {101, 200, 201, 300, 301}));  // J < L, prunes
+    note(run.apply(member_range(500, 8), member_range(302, 8)));  // J = L
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_TRUE(past_dense) << shards;
+  }
 }
 
 }  // namespace

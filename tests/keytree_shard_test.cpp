@@ -120,28 +120,8 @@ TEST(ShardPlan, RejectsBadParameters) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic merge and partition checks
+// Partition checks
 // ---------------------------------------------------------------------------
-
-TEST(MergeDisjointSorted, MatchesGlobalSortAcrossPartitions) {
-  Rng rng(0x4E12);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.next_in(0, 500));
-    std::vector<NodeId> all;
-    NodeId next = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      all.push_back(next += 1 + rng.next_in(0, 9));
-    const std::size_t parts_n = 1 + static_cast<std::size_t>(rng.next_in(0, 8));
-    std::vector<std::vector<NodeId>> parts(parts_n);
-    for (const NodeId id : all)
-      parts[static_cast<std::size_t>(rng.next_in(0, parts_n - 1))]
-          .push_back(id);
-    EXPECT_EQ(merge_disjoint_sorted(std::move(parts)), all) << trial;
-  }
-  EXPECT_TRUE(merge_disjoint_sorted({}).empty());
-  EXPECT_TRUE(merge_disjoint_sorted({{}, {}, {}}).empty());
-  EXPECT_EQ(merge_disjoint_sorted({{7, 9}}), (std::vector<NodeId>{7, 9}));
-}
 
 TEST(CheckShardPartition, AcceptsAValidPartition) {
   const ShardPlan p = ShardPlan::make(4, 4);

@@ -4,11 +4,14 @@
 // randomized sweeps in marking_test.cpp with human-checkable fixtures.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "common/ensure.h"
+#include "common/parallel.h"
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
+#include "keytree/shard.h"
 
 namespace rekey::tree {
 namespace {
@@ -151,6 +154,57 @@ TEST(AppendixB, Rule3SplitChainWalksConsecutiveUsers) {
   EXPECT_EQ(t.slot_of(51), 23u);
   EXPECT_EQ(t.slot_of(52), 24u);
   EXPECT_EQ(t.slot_of(53), 26u);
+}
+
+TEST(AppendixB, Rule3SplitsUsersWhoJoinedInTheSameBatch) {
+  // Degree 2, users 0 and 1 at slots 1 and 2: no free slot, so every join
+  // splits nk+1 first. The splits soon reach users placed by this very
+  // batch, and member 50 is split twice (4 -> 9 -> 19). joined must
+  // report each member's final slot, through run and run_sharded alike.
+  //   split 1: 0 -> 3, 50 -> 4     split 6: 51 -> 13, 55 -> 14
+  //   split 2: 1 -> 5, 51 -> 6     split 7: 0 -> 15,  56 -> 16
+  //   split 3: 0 -> 7, 52 -> 8     split 8: 52 -> 17, 57 -> 18
+  //   split 4: 50 -> 9, 53 -> 10   split 9: 50 -> 19, 58 -> 20
+  //   split 5: 1 -> 11, 54 -> 12
+  const std::vector<MemberId> joins =
+      ids({50, 51, 52, 53, 54, 55, 56, 57, 58});
+  const std::map<MemberId, NodeId> final_slots = {
+      {50, 19}, {51, 13}, {52, 17}, {53, 10}, {54, 12},
+      {55, 14}, {56, 16}, {57, 18}, {58, 20}};
+  std::map<NodeId, NodeId> moves;
+  for (NodeId s = 1; s <= 9; ++s) moves[s] = 2 * s + 1;
+
+  KeyTree serial(2, 9);
+  serial.populate(2);
+  const auto upd = Marker(serial).run(joins, {});
+  serial.check_invariants();
+  EXPECT_EQ(upd.joined, final_slots);
+  EXPECT_EQ(upd.moved, moves);
+  EXPECT_EQ(upd.max_kid, 9u);
+  for (const auto& [m, slot] : final_slots) EXPECT_EQ(serial.slot_of(m), slot);
+  EXPECT_EQ(serial.slot_of(0), 15u);
+  EXPECT_EQ(serial.slot_of(1), 11u);
+
+  ThreadPool pool(3);
+  TaskRunner runner(&pool);
+  for (const unsigned shards : {1u, 2u, 4u, 8u}) {
+    KeyTree sharded(2, 9);
+    sharded.populate(2);
+    const auto su = Marker(sharded).run_sharded(
+        joins, {}, ShardPlan::make(2, shards), runner);
+    EXPECT_EQ(su.joined, upd.joined) << shards;
+    EXPECT_EQ(su.moved, upd.moved) << shards;
+    EXPECT_TRUE(su.changed_knodes == upd.changed_knodes) << shards;
+    // Keys included: a relocated joiner's deferred key lands in its final
+    // slot on both paths.
+    const auto a = serial.nodes();
+    const auto b = sharded.nodes();
+    ASSERT_EQ(a.size(), b.size()) << shards;
+    for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+      EXPECT_EQ(ia->first, ib->first) << shards;
+      EXPECT_EQ(ia->second.key, ib->second.key) << "node " << ia->first;
+    }
+  }
 }
 
 TEST(AppendixB, SplitNodesBecomeChangedKNodes) {

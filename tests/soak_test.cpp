@@ -5,26 +5,32 @@
 // every interval — and that protocol state (rho, msg ids) stays sane.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "core/service.h"
 
 namespace rekey::core {
 namespace {
 
+// gtest names each case after the raw bytes of its param. Every field is
+// 8 bytes wide so the struct has no padding; padding bytes would carry
+// stack garbage into the test names and change them from build to build.
 struct SoakParams {
-  unsigned degree;
+  std::uint64_t degree;
   std::size_t initial;
   double alpha;
   double p_high;
-  int intervals;
+  std::int64_t intervals;
 };
+static_assert(sizeof(SoakParams) == 40, "SoakParams must have no padding");
 
 class Soak : public ::testing::TestWithParam<SoakParams> {};
 
 TEST_P(Soak, GroupStaysConsistentUnderChurnAndLoss) {
   const SoakParams sp = GetParam();
   ServiceConfig cfg;
-  cfg.degree = sp.degree;
+  cfg.degree = static_cast<unsigned>(sp.degree);
   cfg.protocol.max_multicast_rounds = 2;
   cfg.protocol.deadline_rounds = 2;
   cfg.protocol.adapt_num_nack = true;
@@ -41,7 +47,7 @@ TEST_P(Soak, GroupStaysConsistentUnderChurnAndLoss) {
 
   Rng rng(sp.degree * 99 + sp.intervals);
   crypto::SymmetricKey prev_key = svc.group_key();
-  for (int interval = 0; interval < sp.intervals; ++interval) {
+  for (std::int64_t interval = 0; interval < sp.intervals; ++interval) {
     rng.shuffle(members);
     // Grow early intervals, shrink later ones: exercises splits & pruning.
     const bool grow = interval < sp.intervals / 2;
